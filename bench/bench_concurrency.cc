@@ -26,6 +26,7 @@
 #include "sqlnf/core/table.h"
 #include "sqlnf/core/value.h"
 #include "sqlnf/engine/catalog.h"
+#include "sqlnf/engine/predicate.h"
 #include "sqlnf/util/rng.h"
 
 namespace sqlnf::bench {
@@ -52,6 +53,11 @@ double Percentile(std::vector<double>* xs, double p) {
   std::sort(xs->begin(), xs->end());
   size_t i = static_cast<size_t>(p * static_cast<double>(xs->size() - 1));
   return (*xs)[i];
+}
+
+/// WHERE k = key (column 0, the c-key).
+Predicate KeyIs(int64_t key) {
+  return Predicate::And({Cmp(0, CompareOp::kEq, Value::Int(key))});
 }
 
 double MicrosSince(std::chrono::steady_clock::time_point start) {
@@ -104,8 +110,7 @@ void ReaderLoop(Database* db, std::atomic<bool>* stop,
       return;
     }
     int64_t key = rng.Uniform(0, kPreloadRows - 1);
-    Result<Table> rows = SelectFromSnapshot(
-        snap.value(), {{AttributeId{0}, Value::Int(key)}});
+    Result<Table> rows = SelectFromSnapshot(snap.value(), KeyIs(key));
     if (!rows.ok() || rows.value().num_rows() != 1) {
       failures->fetch_add(1);
       return;
@@ -152,9 +157,9 @@ void WriterLoop(Database* db, std::atomic<bool>* stop,
     bool ok = true;
     for (int i = 0; i < kUpdatesPerTxn && ok; ++i) {
       int64_t key = rng.Uniform(0, kPreloadRows - 1);
-      Result<int> changed = db->Update(
-          "kv", {{AttributeId{0}, Value::Int(key)}}, AttributeId{1},
-          Value::Str("r" + std::to_string(out->statements)));
+      Result<int> changed =
+          db->Update("kv", KeyIs(key), AttributeId{1},
+                     Value::Str("r" + std::to_string(out->statements)));
       ok = changed.ok();
       ++out->statements;
     }
@@ -165,8 +170,7 @@ void WriterLoop(Database* db, std::atomic<bool>* stop,
       ++out->statements;
     }
     if (ok && pending_delete >= 0) {
-      Result<int> removed =
-          db->Delete("kv", {{AttributeId{0}, Value::Int(pending_delete)}});
+      Result<int> removed = db->Delete("kv", KeyIs(pending_delete));
       ok = removed.ok() && removed.value() == 1;
       ++out->statements;
     }

@@ -81,8 +81,10 @@ int Run() {
   // encoding feeds the columnar kernels directly, skipping the encode
   // a from-Table validation pays.
   bool batch_ok = false;
-  double batch_table_ms =
-      TimeMs([&] { batch_ok = ValidateAll(indexed_table, sigma); });
+  double batch_table_ms = TimeMs([&] {
+    batch_ok = ValidateAllEncoded(EncodedTable(indexed_table),
+                                  big.schema().nfs(), sigma);
+  });
   bool batch_enc_ok = false;
   double batch_enc_ms = TimeMs([&] {
     batch_enc_ok = ValidateAllEncoded(enforcer.encoding(),

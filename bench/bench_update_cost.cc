@@ -23,6 +23,13 @@
 namespace sqlnf {
 namespace {
 
+// The production validator on a row-major table: encode the FD's
+// columns, then run the kernel.
+bool FdHolds(const Table& table, const FunctionalDependency& fd) {
+  const EncodedTable enc(table, fd.lhs.Union(fd.rhs));
+  return !FindFdViolationEncoded(enc, fd).has_value();
+}
+
 int Run() {
   using bench::TimeMs;
   using bench::ValueOrDie;
@@ -57,7 +64,7 @@ int Run() {
           },
           status, Value::Str("suspended")),
       "single update");
-  bool still_ok = ValidateFd(broken, lambda.fds()[0]);
+  bool still_ok = FdHolds(broken, lambda.fds()[0]);
   std::printf(
       "de-normalized: updating %d row leaves c-FD city,url ->w "
       "dmerc,status satisfied: %s (the update anomaly)\n",
@@ -68,7 +75,7 @@ int Run() {
   int touched_all = ValueOrDie(
       UpdateWhere(&consistent, in_group, status, Value::Str("suspended")),
       "group update");
-  bool group_ok = ValidateFd(consistent, lambda.fds()[0]);
+  bool group_ok = FdHolds(consistent, lambda.fds()[0]);
   std::printf(
       "de-normalized: consistent update touches %d rows (c-FD "
       "satisfied: %s)\n",
@@ -111,17 +118,15 @@ int Run() {
                          "new,city,url ->w dmerc_rgn,status"),
       "fd");
   const FunctionalDependency& fd = sigma.fds()[0];
-  double fast_ms = TimeMs([&] { (void)ValidateFd(big, fd); });
+  double fast_ms = TimeMs([&] { (void)FdHolds(big, fd); });
   double ref_ms = TimeMs([&] { (void)Satisfies(big, fd); });
-  double tuple_ms =
-      TimeMs([&] { (void)FindFdViolationTuple(big, fd); });
   const EncodedTable enc(big, fd.lhs.Union(fd.rhs));
-  double kernel_ms = TimeMs([&] { (void)ValidateFdEncoded(enc, fd); });
+  double kernel_ms =
+      TimeMs([&] { (void)FindFdViolationEncoded(enc, fd); });
   std::printf(
       "validator ablation on %d rows: encoded kernel %.1f ms (grouped "
-      "incl. encode %.1f ms, tuple-hashing %.1f ms, O(n^2) reference "
-      "%.1f ms)\n",
-      big.num_rows(), kernel_ms, fast_ms, tuple_ms, ref_ms);
+      "incl. encode %.1f ms, O(n^2) reference %.1f ms)\n",
+      big.num_rows(), kernel_ms, fast_ms, ref_ms);
 
   // ---- update ablation: the same group update on codes vs on rows.
   const AttributeId big_city =
@@ -137,9 +142,11 @@ int Run() {
         big_status, Value::Str("suspended"));
   });
   double enc_upd_ms = TimeMs([&] {
-    (void)UpdateWhereEncoded(&enc_upd,
-                             {{big_city, Value::Str("City g1-0")}},
-                             big_status, Value::Str("suspended"));
+    (void)UpdateWhereEncoded(
+        &enc_upd,
+        Predicate::And({Cmp(big_city, CompareOp::kEq,
+                            Value::Str("City g1-0"))}),
+        big_status, Value::Str("suspended"));
   });
   std::printf(
       "update ablation on %d rows: encoded group update %.2f ms, "
@@ -147,8 +154,7 @@ int Run() {
       big.num_rows(), enc_upd_ms, row_upd_ms);
 
   const bool ok = !still_ok && group_ok && touched_all == 135 &&
-                  touched_norm == 1 && ref_ms > fast_ms &&
-                  tuple_ms > kernel_ms;
+                  touched_norm == 1 && ref_ms > fast_ms;
   std::printf("shape check: %s\n", ok ? "OK" : "FAILED");
   return ok ? 0 : 1;
 }

@@ -11,7 +11,8 @@
 //   * inserts: brand-new contractor groups.
 //
 // Every write is constraint-checked; the normalized schema pays one
-// cheap key probe where the de-normalized one re-validates FD groups.
+// cheap key probe where the de-normalized one checks every changed
+// member of an FD group.
 
 #include <cstdio>
 
@@ -110,6 +111,9 @@ int Run() {
   }
 
   auto city_value = [](int g1) { return Value::Str("City g1-" + std::to_string(g1)); };
+  auto city_is = [&](AttributeId col, int g1) {
+    return Predicate::And({Cmp(col, CompareOp::kEq, city_value(g1))});
+  };
   const AttributeId big_city =
       ValueOrDie(big.schema().FindAttribute("city"), "city");
   const AttributeId big_status =
@@ -124,8 +128,8 @@ int Run() {
     WriterScope scope;
     for (int round = 0; round < 30; ++round) {
       Value v = Value::Str(round % 2 ? "active" : "suspended");
-      auto changed = denorm.Update(
-          big.schema().name(), {{big_city, city_value(3)}}, big_status, v);
+      auto changed = denorm.Update(big.schema().name(), city_is(big_city, 3),
+                                   big_status, v);
       bench::CheckOk(changed.status(), "denorm update");
     }
   });
@@ -138,8 +142,8 @@ int Run() {
     WriterScope scope;
     for (int round = 0; round < 30; ++round) {
       Value v = Value::Str(round % 2 ? "active" : "suspended");
-      auto changed = norm.Update(status_table, {{part_city, city_value(3)}},
-                                 part_status, v);
+      auto changed =
+          norm.Update(status_table, city_is(part_city, 3), part_status, v);
       bench::CheckOk(changed.status(), "norm update");
     }
   });
@@ -148,8 +152,9 @@ int Run() {
   denorm_lat.select_ms = TimeMs([&] {
     WriterScope scope;
     for (int i = 0; i < 300; ++i) {
-      auto hit = denorm.Select(big.schema().name(),
-                               {{big_city, city_value(i % 38)}});
+      auto hit = SelectFromSnapshot(
+          ValueOrDie(denorm.GetSnapshot(big.schema().name()), "snapshot"),
+          city_is(big_city, i % 38));
       bench::CheckOk(hit.status(), "denorm select");
       sink += hit.value().num_rows();
     }
@@ -157,8 +162,9 @@ int Run() {
   norm_lat.select_ms = TimeMs([&] {
     WriterScope scope;
     for (int i = 0; i < 300; ++i) {
-      auto hit = norm.Select(status_table,
-                             {{part_city, city_value(i % 38)}});
+      auto hit = SelectFromSnapshot(
+          ValueOrDie(norm.GetSnapshot(status_table), "snapshot"),
+          city_is(part_city, i % 38));
       bench::CheckOk(hit.status(), "norm select");
       sink += hit.value().num_rows();
     }

@@ -33,9 +33,8 @@ void CodeHashIndex::HashRows(
   std::fill(out, out + n, kFnv64OffsetBasis);
   // Column-major mixing: every row folds its columns in list order,
   // exactly the HashKey sequence, just batched across rows.
-  const simd::Level level = simd::ActiveLevel();
   for (const std::vector<uint32_t>* col : keys) {
-    simd::FnvMixCodes(level, col->data() + begin, n, out);
+    simd::FnvMixCodes(col->data() + begin, n, out);
   }
 }
 

@@ -27,9 +27,10 @@
 //     popcount(mask) ids are memcpy'd out, because the destination
 //     window is exactly sized per ParallelEmit chunk and a full
 //     32-byte store would stomp the neighbouring chunk's window.
-//   * 64-bit FNV multiply — SSE2/AVX2 lack a 64-bit mullo; the FNV
-//     prime 0x100000001B3 is split into hi/lo halves and reassembled
-//     from three 32×32→64 mul_epu32 partial products.
+//
+// FnvMixCodes is the one kernel with a single (scalar) body: SSE2/AVX2
+// lack a 64-bit mullo, and the mul_epu32-emulated forms never beat the
+// scalar multiply by enough to matter (see its header comment).
 
 #include "sqlnf/core/simd_kernels.h"
 
@@ -259,14 +260,6 @@ SQLNF_SIMD_SCALAR_FN int CompressStoreScalar(const uint8_t* match, int n,
   return count;
 }
 
-SQLNF_SIMD_SCALAR_FN void FnvMixCodesScalar(const uint32_t* codes, int n,
-                                            uint64_t* h) {
-  SQLNF_SIMD_NO_AUTOVEC
-  for (int i = 0; i < n; ++i) {
-    h[i] = (h[i] ^ codes[i]) * kFnv64Prime;
-  }
-}
-
 SQLNF_SIMD_SCALAR_FN void FoldMaskScalar(const uint64_t* h, int n,
                                          uint64_t mask, uint32_t* out) {
   SQLNF_SIMD_NO_AUTOVEC
@@ -375,29 +368,6 @@ int64_t CountBytesSse2(const uint8_t* bytes, int n) {
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
   return static_cast<int64_t>(lanes[0] + lanes[1]) +
          CountBytesScalar(bytes + i, n - i);
-}
-
-// (h ^ code) * kFnv64Prime over two 64-bit lanes. The prime splits as
-// hi 0x100 / lo 0x1B3; the product is rebuilt from mul_epu32 partials:
-//   res = lo(x)*0x1B3 + ((lo(x)*0x100 + hi(x)*0x1B3) << 32).
-void FnvMixCodesSse2(const uint32_t* codes, int n, uint64_t* h) {
-  const __m128i p_lo = _mm_set1_epi64x(0x1B3);
-  const __m128i p_hi = _mm_set1_epi64x(0x100);
-  const __m128i zero = _mm_setzero_si128();
-  int i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m128i hv = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + i));
-    // Two u32 codes, zero-extended into the two u64 lanes.
-    __m128i c =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
-    __m128i x = _mm_xor_si128(hv, _mm_unpacklo_epi32(c, zero));
-    __m128i lo_part = _mm_mul_epu32(x, p_lo);
-    __m128i mid = _mm_add_epi64(_mm_mul_epu32(x, p_hi),
-                                _mm_mul_epu32(_mm_srli_epi64(x, 32), p_lo));
-    __m128i res = _mm_add_epi64(lo_part, _mm_slli_epi64(mid, 32));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(h + i), res);
-  }
-  FnvMixCodesScalar(codes + i, n - i, h + i);
 }
 
 void FoldMaskSse2(const uint64_t* h, int n, uint64_t mask, uint32_t* out) {
@@ -644,26 +614,6 @@ SQLNF_SIMD_TARGET_AVX2 int CompressStoreAvx2(const uint8_t* match, int n,
   return count;
 }
 
-SQLNF_SIMD_TARGET_AVX2 void FnvMixCodesAvx2(const uint32_t* codes, int n,
-                                            uint64_t* h) {
-  const __m256i p_lo = _mm256_set1_epi64x(0x1B3);
-  const __m256i p_hi = _mm256_set1_epi64x(0x100);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i hv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + i));
-    __m256i c = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(codes + i)));
-    __m256i x = _mm256_xor_si256(hv, c);
-    __m256i lo_part = _mm256_mul_epu32(x, p_lo);
-    __m256i mid =
-        _mm256_add_epi64(_mm256_mul_epu32(x, p_hi),
-                         _mm256_mul_epu32(_mm256_srli_epi64(x, 32), p_lo));
-    __m256i res = _mm256_add_epi64(lo_part, _mm256_slli_epi64(mid, 32));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(h + i), res);
-  }
-  FnvMixCodesScalar(codes + i, n - i, h + i);
-}
-
 SQLNF_SIMD_TARGET_AVX2 void FoldMaskAvx2(const uint64_t* h, int n,
                                          uint64_t mask, uint32_t* out) {
   const __m256i maskv = _mm256_set1_epi64x(static_cast<long long>(mask));
@@ -899,22 +849,8 @@ int CompressStore(Level level, const uint8_t* match, int n, int base,
   return CompressStoreScalar(match, n, base, out);
 }
 
-void FnvMixCodes(Level level, const uint32_t* codes, int n, uint64_t* h) {
-  const Level l = ClampToDetected(level);
-#if SQLNF_SIMD_HAVE_AVX2
-  if (l == Level::kAvx2) {
-    FnvMixCodesAvx2(codes, n, h);
-    return;
-  }
-#endif
-#if SQLNF_SIMD_X86
-  if (l >= Level::kSimd128) {
-    FnvMixCodesSse2(codes, n, h);
-    return;
-  }
-#endif
-  (void)l;
-  FnvMixCodesScalar(codes, n, h);
+void FnvMixCodes(const uint32_t* codes, int n, uint64_t* h) {
+  for (int i = 0; i < n; ++i) h[i] = (h[i] ^ codes[i]) * kFnv64Prime;
 }
 
 void FoldMask(Level level, const uint64_t* h, int n, uint64_t mask,

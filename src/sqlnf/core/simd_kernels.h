@@ -126,8 +126,11 @@ int CompressStore(Level level, const uint8_t* match, int n, int base,
 
 /// h[i] = (h[i] ^ codes[i]) * kFnv64Prime — one FNV-1a column fold
 /// over a row range. Chaining per key column reproduces
-/// CodeHashIndex::HashKey exactly (same mix order per row).
-void FnvMixCodes(Level level, const uint32_t* codes, int n, uint64_t* h);
+/// CodeHashIndex::HashKey exactly (same mix order per row). Scalar
+/// only: no x86 vector form beats the 64-bit multiply loop (AVX2 has
+/// no 64-bit mullo; the emulated 128-/256-bit forms measured 0.85–1.4×
+/// scalar), so this kernel takes no Level.
+void FnvMixCodes(const uint32_t* codes, int n, uint64_t* h);
 
 /// out[i] = uint32((h[i] ^ (h[i] >> 32)) & mask): the bucket-id fold
 /// of CodeHashIndex, batched for the build/probe histogram passes.

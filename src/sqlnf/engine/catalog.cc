@@ -1,7 +1,6 @@
 #include "sqlnf/engine/catalog.h"
 
 #include "sqlnf/core/similarity.h"
-#include "sqlnf/engine/validate.h"
 
 namespace sqlnf {
 
@@ -42,23 +41,6 @@ std::optional<Violation> ValidateRowAgainst(const Table& table,
   return std::nullopt;
 }
 
-namespace {
-
-/// First violation in the encoded instance, if any — the whole-statement
-/// post-image check of the UPDATE path, running entirely on codes.
-std::optional<Violation> FindViolationEncoded(const EncodedTable& enc,
-                                              const ConstraintSet& sigma) {
-  for (const auto& fd : sigma.fds()) {
-    if (auto v = FindFdViolationEncoded(enc, fd)) return v;
-  }
-  for (const auto& key : sigma.keys()) {
-    if (auto v = FindKeyViolationEncoded(enc, key)) return v;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
 Tuple StoredTable::DecodeRow(int row) const {
   const EncodedTable& enc = columns();
   std::vector<Value> values;
@@ -71,16 +53,13 @@ Tuple StoredTable::DecodeRow(int row) const {
 
 Result<Table> SelectFromSnapshot(const TableSnapshot& snapshot,
                                  const Predicate& where) {
-  SQLNF_RETURN_NOT_OK(
-      ValidatePredicate(where, snapshot.schema.num_attributes()));
-  const std::vector<int> sel = SelectRowsEncoded(*snapshot.columns, where);
-  return snapshot.columns->GatherRows(sel).Decode(snapshot.schema);
-}
-
-Result<Table> SelectFromSnapshot(
-    const TableSnapshot& snapshot,
-    const std::vector<ColumnCondition>& where) {
-  return SelectFromSnapshot(snapshot, ToPredicate(where));
+  const int arity = snapshot.schema.num_attributes();
+  SQLNF_RETURN_NOT_OK(ValidatePredicate(where, arity));
+  std::vector<AttributeId> cols(arity);
+  for (AttributeId a = 0; a < arity; ++a) cols[a] = a;
+  return DecodeSelection(*snapshot.columns,
+                         SelectRowsEncoded(*snapshot.columns, where), cols,
+                         snapshot.schema);
 }
 
 Status Database::CreateTableLocked(const TableSchema& schema,
@@ -210,23 +189,6 @@ Status Database::Insert(const std::string& name, Tuple row) {
   return InsertLocked(name, std::move(row));
 }
 
-Result<Table> Database::Select(const std::string& name,
-                               const Predicate& where) const {
-  MutexLock lock(mu_);
-  SQLNF_ASSIGN_OR_RETURN(const StoredTable* stored, FindLocked(name));
-  SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
-  // Columnar end to end: selection vector → gather → one decode at the
-  // result boundary (no per-row DecodeRow round trips).
-  const std::vector<int> sel = SelectRowsEncoded(stored->columns(), where);
-  return stored->columns().GatherRows(sel).Decode(stored->schema());
-}
-
-Result<Table> Database::Select(
-    const std::string& name,
-    const std::vector<ColumnCondition>& where) const {
-  return Select(name, ToPredicate(where));
-}
-
 Result<int> Database::UpdateMatched(StoredTable* stored,
                                     const std::vector<int>& matches,
                                     AttributeId column, const Value& value) {
@@ -258,23 +220,30 @@ Result<int> Database::UpdateMatched(StoredTable* stored,
     r.pre_image = stored->DecodeRow(i);
     statement.ops.push_back(std::move(r));
   }
-  // Flip the changed slots in place: unindex each row under its
-  // PRE-image codes, then re-add the post-image (which re-encodes the
-  // slot). Untouched rows keep their ids — no rebuild, no copy.
+  // Flip the changed slots in place, checked the way INSERT checks. All
+  // changed rows are unindexed first (under their PRE-image codes), so
+  // no post-image is checked against a changed row's own pre-image — a
+  // group-wide RHS update would otherwise conflict with the members
+  // not yet flipped. Each post-image is then checked against the
+  // indexed rows (the unchanged ones plus the post-images already
+  // re-added) and re-added, which re-encodes its slot. That covers
+  // every pair involving a changed row; the pairs of unchanged rows
+  // held before the statement. The NFS cannot newly fail (only
+  // `column` changed, checked above). Untouched rows keep their ids.
   IncrementalEnforcer& enforcer = stored->enforcer();
+  for (const UndoRecord& r : statement.ops) enforcer.Remove(r.row_id);
   for (const UndoRecord& r : statement.ops) {
     Tuple post = r.pre_image;
     post[column] = value;
-    enforcer.Remove(r.row_id);
+    if (std::optional<Violation> violation = enforcer.Check(post)) {
+      // Check names a candidate by the append position; this one
+      // lives in its own slot.
+      violation->row2 = r.row_id;
+      UndoLog::RollbackTable(statement, &enforcer);
+      return Status::FailedPrecondition(
+          "UPDATE rejected: " + violation->ToString(stored->schema()));
+    }
     enforcer.Add(post, r.row_id);
-  }
-  // Whole-statement post-image validation on the maintained encoding.
-  // The NFS cannot newly fail (only `column` changed, checked above).
-  if (auto violation = FindViolationEncoded(stored->columns(),
-                                            stored->sigma())) {
-    UndoLog::RollbackTable(statement, &enforcer);
-    return Status::FailedPrecondition(
-        "UPDATE rejected: " + violation->ToString(stored->schema()));
   }
   if (txn_) {
     TableUndo& undo = txn_->Touch(stored->schema().name(), enc);
@@ -296,28 +265,6 @@ Result<int> Database::Update(const std::string& name,
   SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
   return UpdateMatched(stored, SelectRowsEncoded(stored->columns(), where),
                        column, value);
-}
-
-Result<int> Database::Update(const std::string& name,
-                             const std::vector<ColumnCondition>& where,
-                             AttributeId column, const Value& value) {
-  return Update(name, ToPredicate(where), column, value);
-}
-
-Result<int> Database::Update(
-    const std::string& name,
-    const std::function<bool(const Tuple&)>& predicate, AttributeId column,
-    const Value& value) {
-  MutexLock lock(mu_);
-  SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
-  if (column < 0 || column >= stored->num_columns()) {
-    return Status::Invalid("UPDATE column out of range");
-  }
-  std::vector<int> matches;
-  for (int i = 0; i < stored->num_rows(); ++i) {
-    if (predicate(stored->DecodeRow(i))) matches.push_back(i);
-  }
-  return UpdateMatched(stored, matches, column, value);
 }
 
 int Database::DeleteMatched(StoredTable* stored,
@@ -348,23 +295,6 @@ Result<int> Database::Delete(const std::string& name,
   SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
   SQLNF_RETURN_NOT_OK(ValidatePredicate(where, stored->num_columns()));
   return DeleteMatched(stored, SelectRowsEncoded(stored->columns(), where));
-}
-
-Result<int> Database::Delete(const std::string& name,
-                             const std::vector<ColumnCondition>& where) {
-  return Delete(name, ToPredicate(where));
-}
-
-Result<int> Database::Delete(
-    const std::string& name,
-    const std::function<bool(const Tuple&)>& predicate) {
-  MutexLock lock(mu_);
-  SQLNF_ASSIGN_OR_RETURN(StoredTable * stored, FindMutable(name));
-  std::vector<int> matches;
-  for (int i = 0; i < stored->num_rows(); ++i) {
-    if (predicate(stored->DecodeRow(i))) matches.push_back(i);
-  }
-  return DeleteMatched(stored, matches);
 }
 
 Result<int> Database::CompactTable(const std::string& name) {

@@ -38,7 +38,7 @@
 // to sweep). Concurrency contract: any number of threads may call
 // GetSnapshot() and read the returned snapshot, concurrently with ONE
 // writer thread calling the mutating methods; the remaining accessors
-// (Find / Select / Materialize / ...) touch live state and belong to
+// (Find / Materialize / ...) touch live state and belong to
 // the writer thread.
 //
 // The contract is MACHINE-CHECKED (DESIGN.md §8): Database::mu_ is a
@@ -54,7 +54,6 @@
 #define SQLNF_ENGINE_CATALOG_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -106,10 +105,6 @@ struct TableSnapshot {
 /// reads only the snapshot's immutable columns.
 Result<Table> SelectFromSnapshot(const TableSnapshot& snapshot,
                                  const Predicate& where);
-
-/// Legacy conjunctive form (lowers through ToPredicate).
-Result<Table> SelectFromSnapshot(const TableSnapshot& snapshot,
-                                 const std::vector<ColumnCondition>& where);
 
 /// One stored table. The instance lives as the enforcer's maintained
 /// encoding — columns() IS the data; Materialize() decodes on demand.
@@ -231,37 +226,12 @@ class Database {
   Status Insert(const std::string& name, Tuple row)
       SQLNF_REQUIRES(writer_thread_role);
 
-  /// SELECT on live state: the rows satisfying the WHERE predicate
-  /// tree, matched on codes, gathered columnar, and decoded only at
-  /// the result boundary. Writer thread only — concurrent readers go
-  /// through GetSnapshot + SelectFromSnapshot.
-  Result<Table> Select(const std::string& name, const Predicate& where) const
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// Legacy conjunctive form (lowers through ToPredicate).
-  Result<Table> Select(const std::string& name,
-                       const std::vector<ColumnCondition>& where) const
-      SQLNF_REQUIRES(writer_thread_role);
-
   /// UPDATE ... SET column = value WHERE predicate tree, executed on
-  /// codes (the SQL layer's default path). The whole statement is
-  /// validated post-image on the maintained encoding; on violation
-  /// every changed slot is rolled back and the statement's dictionary
-  /// codes are retired. Returns rows changed.
+  /// codes. Each changed row's post-image is checked by the enforcer,
+  /// as INSERT checks a new row; on violation every changed slot is
+  /// rolled back and the statement's dictionary codes are retired.
+  /// Returns rows changed.
   Result<int> Update(const std::string& name, const Predicate& where,
-                     AttributeId column, const Value& value)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// Legacy conjunctive form (lowers through ToPredicate).
-  Result<int> Update(const std::string& name,
-                     const std::vector<ColumnCondition>& where,
-                     AttributeId column, const Value& value)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// UPDATE with an arbitrary row predicate: rows are decoded to
-  /// evaluate it, then the write takes the same columnar path.
-  Result<int> Update(const std::string& name,
-                     const std::function<bool(const Tuple&)>& predicate,
                      AttributeId column, const Value& value)
       SQLNF_REQUIRES(writer_thread_role);
 
@@ -269,17 +239,6 @@ class Database {
   /// cannot violate FDs/keys (they are anti-monotone), so no validation
   /// is needed. Returns rows removed.
   Result<int> Delete(const std::string& name, const Predicate& where)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// Legacy conjunctive form (lowers through ToPredicate).
-  Result<int> Delete(const std::string& name,
-                     const std::vector<ColumnCondition>& where)
-      SQLNF_REQUIRES(writer_thread_role);
-
-  /// DELETE with an arbitrary row predicate (decodes rows to evaluate
-  /// it).
-  Result<int> Delete(const std::string& name,
-                     const std::function<bool(const Tuple&)>& predicate)
       SQLNF_REQUIRES(writer_thread_role);
 
   /// VACUUM: order-preserving dictionary compaction of one table
@@ -336,15 +295,15 @@ class Database {
   Status InsertLocked(const std::string& name, Tuple row)
       SQLNF_REQUIRES(mu_, writer_thread_role);
 
-  /// Shared columnar write core: flips `column` to `value` on the
-  /// matched rows, validates the post-image, rolls back (slots and
-  /// dictionary marks) on violation.
+  /// Columnar write core: flips `column` to `value` on the matched
+  /// rows, checking each post-image through the enforcer; rolls back
+  /// (slots and dictionary marks) on violation.
   Result<int> UpdateMatched(StoredTable* stored,
                             const std::vector<int>& matches,
                             AttributeId column, const Value& value)
       SQLNF_REQUIRES(mu_, writer_thread_role);
 
-  /// Shared delete core: `matches` must be ascending.
+  /// Delete core: `matches` must be ascending.
   int DeleteMatched(StoredTable* stored, const std::vector<int>& matches)
       SQLNF_REQUIRES(mu_, writer_thread_role);
 

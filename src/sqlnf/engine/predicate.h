@@ -12,8 +12,8 @@
 //   col IN (v1, ..., vk)               marker equality with any member
 //
 // ⊥ SEMANTICS (MARKER, not SQL three-valued logic — consistent with the
-// paper's Section 2 tuple equality and the engine's existing
-// ColumnCondition): `=` is syntactic marker equality, so `col = NULL`
+// paper's Section 2 tuple equality and its equality join): `=` is
+// syntactic marker equality, so `col = NULL`
 // matches exactly the ⊥ cells and `<>` matches the complement. Ordered
 // comparisons EXCLUDE ⊥ by definition: a ⊥ cell satisfies no
 // `<`/`<=`/`>`/`>=`/BETWEEN atom, and a ⊥ operand (e.g. `col < NULL`)

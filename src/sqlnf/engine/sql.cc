@@ -271,16 +271,8 @@ Result<QueryResult> SelectCore(const ParsedSelect& ps,
                            TableSchema::Make("result", names));
     out_schema = std::move(schema);
   }
-  Table output(std::move(*out_schema));
-  output.ReserveRows(static_cast<int>(sel.size()));
-  for (int i : sel) {
-    std::vector<Value> row;
-    row.reserve(ids.size());
-    for (AttributeId id : ids) {
-      row.push_back(cur_cols->DecodeCode(id, cur_cols->code(id, i)));
-    }
-    SQLNF_RETURN_NOT_OK(output.AddRow(Tuple(std::move(row))));
-  }
+  Table output =
+      DecodeSelection(*cur_cols, sel, ids, std::move(*out_schema));
   QueryResult result;
   result.affected = output.num_rows();
   result.message = std::to_string(output.num_rows()) + " row(s)";

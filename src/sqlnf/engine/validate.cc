@@ -6,9 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sqlnf/core/similarity.h"
 #include "sqlnf/core/simd_kernels.h"
-#include "sqlnf/discovery/partition.h"
 #include "sqlnf/util/fnv.h"
 #include "sqlnf/util/mutex.h"
 #include "sqlnf/util/parallel.h"
@@ -306,210 +304,16 @@ std::optional<Violation> FindKeyViolationEncoded(const EncodedTable& enc,
   return violation;
 }
 
-bool ValidateFdEncoded(const EncodedTable& enc,
-                       const FunctionalDependency& fd,
-                       const ParallelOptions& par) {
-  return !FindFdViolationEncoded(enc, fd, par).has_value();
-}
-
-bool ValidateKeyEncoded(const EncodedTable& enc, const KeyConstraint& key,
-                        const ParallelOptions& par) {
-  return !FindKeyViolationEncoded(enc, key, par).has_value();
-}
-
 bool ValidateAllEncoded(const EncodedTable& enc, const AttributeSet& nfs,
                         const ConstraintSet& sigma,
                         const ParallelOptions& par) {
   assert(nfs.IsSubsetOf(enc.encoded_columns()));
   if (!nfs.IsSubsetOf(enc.NullFreeColumns())) return false;
   for (const auto& fd : sigma.fds()) {
-    if (!ValidateFdEncoded(enc, fd, par)) return false;
+    if (FindFdViolationEncoded(enc, fd, par)) return false;
   }
   for (const auto& key : sigma.keys()) {
-    if (!ValidateKeyEncoded(enc, key, par)) return false;
-  }
-  return true;
-}
-
-// ---- stripped-partition path -----------------------------------------
-
-namespace {
-
-// π_X as the product of the single-column partitions (⊥ an ordinary
-// value, so classes are EXACT-equality groups on X).
-StrippedPartition PartitionOn(const EncodedTable& enc,
-                              const AttributeSet& x) {
-  StrippedPartition p = StrippedPartition::Universe(enc.num_rows());
-  for (AttributeId a : x) {
-    p = p.Intersect(StrippedPartition::ForColumn(enc, a), enc.num_rows());
-  }
-  return p;
-}
-
-// e over the classes total on `x`. Class members share their X codes,
-// so the representative decides totality for the whole class; the
-// non-total classes are exactly the ones strong similarity ignores.
-int TotalClassError(const StrippedPartition& p, const EncodedTable& enc,
-                    const AttributeSet& x) {
-  int error = 0;
-  for (const auto& cls : p.classes()) {
-    if (RowTotalOn(enc, cls.front(), x)) {
-      error += static_cast<int>(cls.size()) - 1;
-    }
-  }
-  return error;
-}
-
-}  // namespace
-
-bool ValidateFdPartition(const EncodedTable& enc,
-                         const FunctionalDependency& fd) {
-  assert(fd.is_possible());
-  const StrippedPartition px = PartitionOn(enc, fd.lhs);
-  StrippedPartition pxy = px;
-  for (AttributeId a : fd.rhs.Difference(fd.lhs)) {
-    pxy = pxy.Intersect(StrippedPartition::ForColumn(enc, a),
-                        enc.num_rows());
-  }
-  return TotalClassError(px, enc, fd.lhs) ==
-         TotalClassError(pxy, enc, fd.lhs);
-}
-
-bool ValidateKeyPartition(const EncodedTable& enc,
-                          const KeyConstraint& key) {
-  assert(key.is_possible());
-  return TotalClassError(PartitionOn(enc, key.attrs), enc, key.attrs) == 0;
-}
-
-// ---- legacy tuple-hashing path ---------------------------------------
-
-namespace {
-
-size_t HashOn(const Tuple& t, const AttributeSet& x) {
-  uint64_t h = kFnv64OffsetBasis;
-  for (AttributeId a : x) h = FnvMix(h, t[a].Hash());
-  return h;
-}
-
-Buckets BucketRows(const Table& table, const AttributeSet& group_by,
-                   const std::vector<int>& rows, ThreadPool* pool) {
-  return FromBucketList(HashBuckets(
-      rows, [&](int i) { return HashOn(table.row(i), group_by); }, pool));
-}
-
-}  // namespace
-
-std::optional<Violation> FindFdViolationTuple(const Table& table,
-                                              const FunctionalDependency& fd,
-                                              const ParallelOptions& par) {
-  std::optional<ThreadPool> pool;
-  if (WantPool(table.num_rows(), par)) pool.emplace(par.threads);
-  ThreadPool* p = pool ? &*pool : nullptr;
-  std::optional<Violation> violation;
-  if (fd.is_possible()) {
-    std::vector<int> rows;
-    for (int i = 0; i < table.num_rows(); ++i) {
-      if (table.row(i).IsTotal(fd.lhs)) rows.push_back(i);
-    }
-    violation = ScanBuckets(
-        BucketRows(table, fd.lhs, rows, p),
-        [&](int i, int j) {
-          const Tuple& t = table.row(i);
-          const Tuple& u = table.row(j);
-          // Hash collisions: confirm the grouped columns really match.
-          return t.EqualOn(u, fd.lhs) && StronglySimilar(t, u, fd.lhs) &&
-                 !t.EqualOn(u, fd.rhs);
-        },
-        p);
-  } else {
-    const AttributeSet group = fd.lhs.Intersect(table.NullFreeColumns());
-    const AttributeSet rest = fd.lhs.Difference(group);
-    violation = ScanBuckets(
-        BucketRows(table, group, AllRows(table.num_rows()), p),
-        [&](int i, int j) {
-          const Tuple& t = table.row(i);
-          const Tuple& u = table.row(j);
-          return t.EqualOn(u, group) && WeaklySimilar(t, u, rest) &&
-                 !t.EqualOn(u, fd.rhs);
-        },
-        p);
-  }
-  if (violation) violation->constraint = Constraint(fd);
-  return violation;
-}
-
-std::optional<Violation> FindKeyViolationTuple(const Table& table,
-                                               const KeyConstraint& key,
-                                               const ParallelOptions& par) {
-  std::optional<ThreadPool> pool;
-  if (WantPool(table.num_rows(), par)) pool.emplace(par.threads);
-  ThreadPool* p = pool ? &*pool : nullptr;
-  std::optional<Violation> violation;
-  if (key.is_possible()) {
-    std::vector<int> rows;
-    for (int i = 0; i < table.num_rows(); ++i) {
-      if (table.row(i).IsTotal(key.attrs)) rows.push_back(i);
-    }
-    violation = ScanBuckets(
-        BucketRows(table, key.attrs, rows, p),
-        [&](int i, int j) {
-          return table.row(i).EqualOn(table.row(j), key.attrs);
-        },
-        p);
-  } else {
-    const AttributeSet group = key.attrs.Intersect(table.NullFreeColumns());
-    const AttributeSet rest = key.attrs.Difference(group);
-    violation = ScanBuckets(
-        BucketRows(table, group, AllRows(table.num_rows()), p),
-        [&](int i, int j) {
-          const Tuple& t = table.row(i);
-          const Tuple& u = table.row(j);
-          return t.EqualOn(u, group) && WeaklySimilar(t, u, rest);
-        },
-        p);
-  }
-  if (violation) violation->constraint = Constraint(key);
-  return violation;
-}
-
-// ---- Table entry points (encode-and-forward) -------------------------
-
-std::optional<Violation> FindFdViolationFast(const Table& table,
-                                             const FunctionalDependency& fd,
-                                             const ParallelOptions& par) {
-  const EncodedTable enc(table, fd.lhs.Union(fd.rhs));
-  return FindFdViolationEncoded(enc, fd, par);
-}
-
-std::optional<Violation> FindKeyViolationFast(const Table& table,
-                                              const KeyConstraint& key,
-                                              const ParallelOptions& par) {
-  const EncodedTable enc(table, key.attrs);
-  return FindKeyViolationEncoded(enc, key, par);
-}
-
-bool ValidateFd(const Table& table, const FunctionalDependency& fd,
-                const ParallelOptions& par) {
-  return !FindFdViolationFast(table, fd, par).has_value();
-}
-
-bool ValidateKey(const Table& table, const KeyConstraint& key,
-                 const ParallelOptions& par) {
-  return !FindKeyViolationFast(table, key, par).has_value();
-}
-
-bool ValidateAll(const Table& table, const ConstraintSet& sigma,
-                 const ParallelOptions& par) {
-  if (!table.CheckNfs().ok()) return false;
-  AttributeSet needed;
-  for (const auto& fd : sigma.fds()) needed = needed | fd.lhs | fd.rhs;
-  for (const auto& key : sigma.keys()) needed = needed | key.attrs;
-  const EncodedTable enc(table, needed);
-  for (const auto& fd : sigma.fds()) {
-    if (!ValidateFdEncoded(enc, fd, par)) return false;
-  }
-  for (const auto& key : sigma.keys()) {
-    if (!ValidateKeyEncoded(enc, key, par)) return false;
+    if (FindKeyViolationEncoded(enc, key, par)) return false;
   }
   return true;
 }

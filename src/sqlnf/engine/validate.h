@@ -8,18 +8,21 @@
 // total on the LHS can participate, and strong similarity within the
 // partition is plain equality — no pair loop at all.
 //
-// Since PR 2 the kernels run on the shared columnar representation
+// The kernels run on the shared columnar representation
 // (core/encoded_table.h): rows are bucketed by their dictionary CODES
 // (radix on the code value for single-column groups, FNV-mixed hashing
 // for wider ones) and all within-bucket predicates are integer
-// compares. The Table entry points encode just the columns a constraint
-// mentions and forward to the EncodedTable kernels; callers that
-// already hold an encoding (the catalog's enforcer, discovery, batch
-// validation) skip the encode entirely. The pre-columnar tuple-hashing
-// path is kept as *Tuple for differential testing and bench ablations.
+// compares. This is the one production validator: the session's
+// /validate (which the CLI's `validate` also runs) calls it on an
+// encoding it already holds, and callers with a row-major Table encode
+// it first (EncodedTable(table)). Writes do not re-validate the table — the
+// catalog checks each written row against the stored ones through the
+// incremental enforcer (engine/enforcer.h).
 //
-// Property tests cross-check every validator against the reference and
-// a literal Definition-1/2 oracle (tests/reference_oracle.h).
+// One literal oracle backs it: constraints/satisfies.h (and the
+// Definition-1/2 transcription in tests/reference_oracle.h), against
+// which the differential, fuzz and metamorphic suites cross-check every
+// verdict and witness.
 //
 // Every entry point takes an optional ParallelOptions: with threads > 1
 // the buckets are scanned by a thread pool with first-violation
@@ -35,85 +38,28 @@
 #include "sqlnf/constraints/constraint.h"
 #include "sqlnf/constraints/satisfies.h"
 #include "sqlnf/core/encoded_table.h"
-#include "sqlnf/core/table.h"
 #include "sqlnf/util/parallel.h"
 
 namespace sqlnf {
 
-/// Fast validation of one FD. Matches constraints/satisfies.h exactly.
-bool ValidateFd(const Table& table, const FunctionalDependency& fd,
-                const ParallelOptions& par = {});
-
-/// Fast validation of one key.
-bool ValidateKey(const Table& table, const KeyConstraint& key,
-                 const ParallelOptions& par = {});
-
-/// Fast validation of a whole constraint set (plus the NFS). Encodes
-/// the union of all mentioned columns once and reuses it.
-bool ValidateAll(const Table& table, const ConstraintSet& sigma,
-                 const ParallelOptions& par = {});
-
-/// Like ValidateFd but returns the first violating row pair.
-std::optional<Violation> FindFdViolationFast(
-    const Table& table, const FunctionalDependency& fd,
-    const ParallelOptions& par = {});
-
-/// Like ValidateKey but returns the first violating row pair.
-std::optional<Violation> FindKeyViolationFast(
-    const Table& table, const KeyConstraint& key,
-    const ParallelOptions& par = {});
-
-// ---- Columnar kernels ------------------------------------------------
 // `enc` must cover every column the constraint mentions
 // (enc.encoded_columns() ⊇ lhs ∪ rhs / attrs).
 
+/// The first violating row pair of one FD, or nullopt when it holds.
 std::optional<Violation> FindFdViolationEncoded(
     const EncodedTable& enc, const FunctionalDependency& fd,
     const ParallelOptions& par = {});
 
+/// The first violating row pair of one key, or nullopt when it holds.
 std::optional<Violation> FindKeyViolationEncoded(
     const EncodedTable& enc, const KeyConstraint& key,
     const ParallelOptions& par = {});
-
-bool ValidateFdEncoded(const EncodedTable& enc,
-                       const FunctionalDependency& fd,
-                       const ParallelOptions& par = {});
-
-bool ValidateKeyEncoded(const EncodedTable& enc, const KeyConstraint& key,
-                        const ParallelOptions& par = {});
 
 /// Whole-Σ validation on a shared encoding; `nfs` is the schema's NOT
 /// NULL set (the NFS holds iff those columns are null-free here).
 bool ValidateAllEncoded(const EncodedTable& enc, const AttributeSet& nfs,
                         const ConstraintSet& sigma,
                         const ParallelOptions& par = {});
-
-// ---- Stripped-partition path (world semantics) -----------------------
-// Possible constraints quantify over some completion of the ⊥ cells;
-// syntactically they trigger on strong similarity, i.e. exact equality
-// of total rows. That makes them expressible over stripped partitions
-// (discovery/partition.h) with ⊥ as an ordinary value, restricted to
-// classes total on the LHS:  X →s Y  ⟺  e(X) = e(XY)  and
-// p⟨X⟩  ⟺  e(X) = 0  over the X-total classes. Requires is_possible().
-
-bool ValidateFdPartition(const EncodedTable& enc,
-                         const FunctionalDependency& fd);
-
-bool ValidateKeyPartition(const EncodedTable& enc,
-                          const KeyConstraint& key);
-
-// ---- Legacy tuple-hashing path ---------------------------------------
-// The pre-columnar implementation (HashOn(Tuple) buckets + Value
-// compares). Verdict-equivalent to the encoded kernels; kept as the
-// differential-testing baseline and for the encoded-vs-tuple bench.
-
-std::optional<Violation> FindFdViolationTuple(
-    const Table& table, const FunctionalDependency& fd,
-    const ParallelOptions& par = {});
-
-std::optional<Violation> FindKeyViolationTuple(
-    const Table& table, const KeyConstraint& key,
-    const ParallelOptions& par = {});
 
 }  // namespace sqlnf
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sqlnf/engine/predicate.h"
 #include "test_util.h"
 
 namespace sqlnf {
@@ -20,6 +21,11 @@ Tuple Row(std::initializer_list<const char*> cells) {
     values.push_back(c == nullptr ? Value::Null() : Value::Str(c));
   }
   return Tuple(std::move(values));
+}
+
+/// WHERE column = 'value'.
+Predicate Eq(AttributeId column, const char* value) {
+  return Predicate::And({Cmp(column, CompareOp::kEq, Value::Str(value))});
 }
 
 TEST(ValidateRowAgainstTest, MatchesBatchSemantics) {
@@ -99,22 +105,35 @@ TEST(DatabaseTest, UpdateValidatesPostImageAtomically) {
   ASSERT_OK(db.Insert("T", Row({"1", "p", "x"})));
   ASSERT_OK(db.Insert("T", Row({"1", "q", "x"})));
   // Changing only one of the two a=1 rows breaks the FD: rejected.
-  bool first = true;
-  auto one_row = [&first](const Tuple&) {
-    bool take = first;
-    first = false;
-    return take;
-  };
-  auto rejected = db.Update("T", one_row, 2, Value::Str("y"));
+  auto rejected = db.Update("T", Eq(1, "p"), 2, Value::Str("y"));
   EXPECT_FALSE(rejected.ok());
   ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
   EXPECT_EQ(stored->DecodeRow(0)[2], Value::Str("x"));  // untouched
-  // Changing both rows together is consistent.
-  ASSERT_OK_AND_ASSIGN(
-      int changed,
-      db.Update("T", [](const Tuple&) { return true; }, 2,
-                Value::Str("y")));
+  // Changing both rows together is consistent: each post-image is
+  // checked against the other's post-image, never its pre-image.
+  ASSERT_OK_AND_ASSIGN(int changed,
+                       db.Update("T", Predicate::True(), 2, Value::Str("y")));
   EXPECT_EQ(changed, 2);
+
+  // Two changed rows that conflict only with each other: neither
+  // clashes with an unchanged row, so only checking each post-image
+  // against the other's catches it. The rejection leaves the table,
+  // its indexes and its dictionaries exactly as they were.
+  TableSchema keyed = TableSchema::MakeCompact("K", "abc", "c").value();
+  ASSERT_OK(db.CreateTable(keyed, testing::Sigma(keyed, "c<ab>")));
+  ASSERT_OK(db.Insert("K", Row({"1", "p", "x"})));
+  ASSERT_OK(db.Insert("K", Row({"1", "q", "x"})));
+  ASSERT_OK(db.Insert("K", Row({"2", "r", "y"})));
+  ASSERT_OK_AND_ASSIGN(const StoredTable* stored_k, db.Find("K"));
+  const EncodedTable before(stored_k->columns());
+  const uint64_t fingerprint = stored_k->enforcer().IndexFingerprint();
+  // SET b = 's' (a fresh value) on both c = 'x' rows makes both (1, s).
+  auto clash = db.Update("K", Eq(2, "x"), 1, Value::Str("s"));
+  ASSERT_FALSE(clash.ok());
+  EXPECT_NE(clash.status().message().find("c<"), std::string::npos);
+  EXPECT_TRUE(stored_k->columns().BitIdentical(before));
+  EXPECT_EQ(stored_k->enforcer().IndexFingerprint(), fingerprint);
+  EXPECT_OK(stored_k->enforcer().CheckInvariants());
 }
 
 TEST(DatabaseTest, UpdateRejectsNullIntoNotNull) {
@@ -123,13 +142,10 @@ TEST(DatabaseTest, UpdateRejectsNullIntoNotNull) {
   TableSchema schema = Schema("ab", "a");
   ASSERT_OK(db.CreateTable(schema, ConstraintSet()));
   ASSERT_OK(db.Insert("T", Row({"1", "x"})));
-  EXPECT_FALSE(
-      db.Update("T", [](const Tuple&) { return true; }, 0, Value::Null())
-          .ok());
+  EXPECT_FALSE(db.Update("T", Predicate::True(), 0, Value::Null()).ok());
   // Nullable column accepts ⊥.
-  ASSERT_OK_AND_ASSIGN(
-      int changed,
-      db.Update("T", [](const Tuple&) { return true; }, 1, Value::Null()));
+  ASSERT_OK_AND_ASSIGN(int changed,
+                       db.Update("T", Predicate::True(), 1, Value::Null()));
   EXPECT_EQ(changed, 1);
 }
 
@@ -140,9 +156,7 @@ TEST(DatabaseTest, DeleteNeverViolates) {
   ASSERT_OK(db.CreateTable(schema, testing::Sigma(schema, "a ->w b")));
   ASSERT_OK(db.Insert("T", Row({"1", "x"})));
   ASSERT_OK(db.Insert("T", Row({"2", "y"})));
-  ASSERT_OK_AND_ASSIGN(
-      int removed,
-      db.Delete("T", [](const Tuple& t) { return t[0] == Value::Str("1"); }));
+  ASSERT_OK_AND_ASSIGN(int removed, db.Delete("T", Eq(0, "1")));
   EXPECT_EQ(removed, 1);
   ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
   EXPECT_EQ(stored->num_rows(), 1);
@@ -159,9 +173,7 @@ TEST(DatabaseTest, UpdateAndDeleteMaintainIndexWithoutRebuild) {
   ASSERT_OK(db.Insert("T", Row({"4", "r", "z"})));
 
   // Delete the a=2 row: its key must be freed, survivors renumbered.
-  ASSERT_OK_AND_ASSIGN(
-      int removed,
-      db.Delete("T", [](const Tuple& t) { return t[0] == Value::Str("2"); }));
+  ASSERT_OK_AND_ASSIGN(int removed, db.Delete("T", Eq(0, "2")));
   EXPECT_EQ(removed, 1);
   EXPECT_OK(db.Insert("T", Row({"2", "q", "w"})));  // key reusable
 
@@ -172,11 +184,8 @@ TEST(DatabaseTest, UpdateAndDeleteMaintainIndexWithoutRebuild) {
 
   // Update moves a row to a new bucket: the OLD key frees up, the NEW
   // key conflicts.
-  ASSERT_OK_AND_ASSIGN(
-      int changed,
-      db.Update(
-          "T", [](const Tuple& t) { return t[0] == Value::Str("4"); }, 1,
-          Value::Str("s")));
+  ASSERT_OK_AND_ASSIGN(int changed,
+                       db.Update("T", Eq(0, "4"), 1, Value::Str("s")));
   EXPECT_EQ(changed, 1);
   EXPECT_FALSE(db.Insert("T", Row({"4", "s", "z"})).ok());  // post-image
   EXPECT_OK(db.Insert("T", Row({"4", "r", "z"})));          // pre-image freed
@@ -216,10 +225,12 @@ TEST(DatabaseTest, MutationsKeepEnforcerConsistentRandomized) {
       if (rng.Chance(0.5)) {
         const Value set = rng.Chance(0.2) ? Value::Null()
                                           : Value::Int(rng.Uniform(0, 2));
-        (void)db.Update(
-            "T", [&](const Tuple& t) { return t[0] == match; }, col, set);
+        (void)db.Update("T",
+                        Predicate::And({Cmp(0, CompareOp::kEq, match)}),
+                        col, set);
       } else {
-        (void)db.Delete("T", [&](const Tuple& t) { return t[col] == match; });
+        (void)db.Delete("T",
+                        Predicate::And({Cmp(col, CompareOp::kEq, match)}));
       }
 
       // The incrementally maintained index must agree with the

@@ -15,6 +15,7 @@
 namespace sqlnf {
 namespace {
 
+using testing::EncodedHolds;
 using testing::Attrs;
 using testing::Fd;
 using testing::RandomInstance;
@@ -242,7 +243,7 @@ TEST(DiscoverTest, ParallelSweepMatchesSerialExactly) {
 
   // Parallel validation reaches the same verdicts too.
   for (const auto& fd : a.c_fds) {
-    EXPECT_EQ(ValidateFd(t, fd, ParallelOptions{4}), ValidateFd(t, fd));
+    EXPECT_EQ(EncodedHolds(t, fd, ParallelOptions{4}), EncodedHolds(t, fd));
   }
 }
 

@@ -17,6 +17,8 @@
 namespace sqlnf {
 namespace {
 
+using testing::EncodedHolds;
+using testing::EncodedHoldsAll;
 using testing::Fd;
 using testing::Key;
 using testing::Rows;
@@ -47,7 +49,7 @@ TEST(EdgeCaseTest, EmptyInstanceSatisfiesEverything) {
   EXPECT_TRUE(Satisfies(empty, Key(schema, "c<a>")));
   EXPECT_TRUE(SatisfiesAll(empty, Sigma(schema, "a ->s b; p<ab>")));
   EXPECT_TRUE(IsRedundancyFreeInstance(empty, ConstraintSet()));
-  EXPECT_TRUE(ValidateAll(empty, Sigma(schema, "a ->w b; c<a>")));
+  EXPECT_TRUE(EncodedHoldsAll(empty, Sigma(schema, "a ->w b; c<a>")));
 }
 
 TEST(EdgeCaseTest, SingleRowInstance) {
@@ -71,8 +73,8 @@ TEST(EdgeCaseTest, EmptyKeyAttrsMeansAtMostOneRow) {
   EXPECT_TRUE(Satisfies(one, empty_c));
   EXPECT_FALSE(Satisfies(two, empty_p));  // any two rows agree on ∅
   EXPECT_FALSE(Satisfies(two, empty_c));
-  EXPECT_EQ(Satisfies(two, empty_p), ValidateKey(two, empty_p));
-  EXPECT_EQ(Satisfies(two, empty_c), ValidateKey(two, empty_c));
+  EXPECT_EQ(Satisfies(two, empty_p), EncodedHolds(two, empty_p));
+  EXPECT_EQ(Satisfies(two, empty_c), EncodedHolds(two, empty_c));
 }
 
 TEST(EdgeCaseTest, AllNullColumn) {
@@ -81,7 +83,7 @@ TEST(EdgeCaseTest, AllNullColumn) {
   // Everything weakly agrees on the ⊥ column.
   EXPECT_FALSE(Satisfies(t, Fd(schema, "a ->w b")));
   EXPECT_TRUE(Satisfies(t, Fd(schema, "a ->s b")));  // never strongly
-  EXPECT_EQ(ValidateFd(t, Fd(schema, "a ->w b")),
+  EXPECT_EQ(EncodedHolds(t, Fd(schema, "a ->w b")),
             Satisfies(t, Fd(schema, "a ->w b")));
   // Discovery handles it: column 0 is not null-free and is no key.
   ASSERT_OK_AND_ASSIGN(DiscoveryResult mined, DiscoverConstraints(t));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sqlnf/engine/catalog.h"
+#include "sqlnf/engine/predicate.h"
 #include "test_util.h"
 
 namespace sqlnf {
@@ -125,16 +126,15 @@ TEST(EnforcerTest, EncodingStaysConsistentAcrossWriteWorkload) {
       } else if (roll < 0.8) {
         const AttributeId col = static_cast<AttributeId>(rng.Index(n));
         const Value target = Value::Int(rng.Uniform(0, 2));
-        // Touch roughly half the rows matching on `col`.
-        (void)db.Update(
-            "T",
-            [&](const Tuple& t) { return t[col] == target; }, col,
-            random_value());
+        // Touch the rows matching on `col`.
+        (void)db.Update("T",
+                        Predicate::And({Cmp(col, CompareOp::kEq, target)}),
+                        col, random_value());
       } else {
         const AttributeId col = static_cast<AttributeId>(rng.Index(n));
         const Value target = Value::Int(rng.Uniform(0, 2));
-        ASSERT_OK(db.Delete(
-            "T", [&](const Tuple& t) { return t[col] == target; })
+        ASSERT_OK(db.Delete("T", Predicate::And(
+                                     {Cmp(col, CompareOp::kEq, target)}))
                       .status());
       }
       ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));

@@ -14,6 +14,8 @@
 namespace sqlnf {
 namespace {
 
+using testing::EncodedHolds;
+using testing::EncodedHoldsAll;
 using testing::Fd;
 using testing::Key;
 using testing::RandomInstance;
@@ -177,25 +179,25 @@ TEST(RelopsTest, JoinAllReconstructs) {
 TEST(ValidateTest, MatchesReferenceOnPaperExamples) {
   TableSchema schema = Schema("oicp");
   Table fig5 = Rows(schema, {"1FAX", "1F_X", "3FAX", "3DKY"});
-  EXPECT_TRUE(ValidateFd(fig5, Fd(schema, "ic ->w p")));
-  EXPECT_FALSE(ValidateFd(fig5, Fd(schema, "ic ->w icp")));
-  EXPECT_TRUE(ValidateFd(fig5, Fd(schema, "ic ->s p")));
-  EXPECT_FALSE(ValidateKey(fig5, Key(schema, "c<ic>")));
+  EXPECT_TRUE(EncodedHolds(fig5, Fd(schema, "ic ->w p")));
+  EXPECT_FALSE(EncodedHolds(fig5, Fd(schema, "ic ->w icp")));
+  EXPECT_TRUE(EncodedHolds(fig5, Fd(schema, "ic ->s p")));
+  EXPECT_FALSE(EncodedHolds(fig5, Key(schema, "c<ic>")));
   // All four rows are pairwise distinct, so the full p-key holds — but
   // rows 0,1 are weakly similar on everything, so the full c-key fails.
-  EXPECT_TRUE(ValidateKey(fig5, Key(schema, "p<oicp>")));
-  EXPECT_FALSE(ValidateKey(fig5, Key(schema, "c<oicp>")));
+  EXPECT_TRUE(EncodedHolds(fig5, Key(schema, "p<oicp>")));
+  EXPECT_FALSE(EncodedHolds(fig5, Key(schema, "c<oicp>")));
 
   Table dup = Rows(schema, {"1FAX", "1FAX"});
-  EXPECT_FALSE(ValidateKey(dup, Key(schema, "p<oicp>")));
-  EXPECT_FALSE(ValidateKey(dup, Key(schema, "c<oicp>")));
-  EXPECT_TRUE(ValidateFd(dup, Fd(schema, "{} ->w oicp")));
+  EXPECT_FALSE(EncodedHolds(dup, Key(schema, "p<oicp>")));
+  EXPECT_FALSE(EncodedHolds(dup, Key(schema, "c<oicp>")));
+  EXPECT_TRUE(EncodedHolds(dup, Fd(schema, "{} ->w oicp")));
 }
 
 TEST(ValidateTest, ViolationWitnessesAreReal) {
   TableSchema schema = Schema("abc");
   Table t = Rows(schema, {"1x_", "1xZ", "2yQ"});
-  auto v = FindFdViolationFast(t, Fd(schema, "a ->w c"));
+  auto v = FindFdViolationEncoded(EncodedTable(t), Fd(schema, "a ->w c"));
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->row1, 0);
   EXPECT_EQ(v->row2, 1);
@@ -214,12 +216,12 @@ TEST_P(ValidatorPropertyTest, FastValidatorsMatchReference) {
       fd.lhs = testing::RandomSubset(&rng, n);
       fd.rhs = testing::RandomSubset(&rng, n);
       fd.mode = rng.Chance(0.5) ? Mode::kPossible : Mode::kCertain;
-      EXPECT_EQ(ValidateFd(t, fd), Satisfies(t, fd))
+      EXPECT_EQ(EncodedHolds(t, fd), Satisfies(t, fd))
           << fd.ToString(schema) << "\n" << t.ToString();
       KeyConstraint key{testing::RandomSubset(&rng, n, 0.5),
                         rng.Chance(0.5) ? Mode::kPossible
                                         : Mode::kCertain};
-      EXPECT_EQ(ValidateKey(t, key), Satisfies(t, key))
+      EXPECT_EQ(EncodedHolds(t, key), Satisfies(t, key))
           << key.ToString(schema) << "\n" << t.ToString();
     }
   }
@@ -231,9 +233,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ValidatorPropertyTest,
 TEST(ValidateAllTest, ChecksNfsAndConstraints) {
   TableSchema schema = Schema("ab", "a");
   ConstraintSet sigma = Sigma(schema, "a ->w b; p<a>");
-  EXPECT_TRUE(ValidateAll(Rows(schema, {"11", "22"}), sigma));
-  EXPECT_FALSE(ValidateAll(Rows(schema, {"_1"}), sigma));
-  EXPECT_FALSE(ValidateAll(Rows(schema, {"11", "12"}), sigma));
+  EXPECT_TRUE(EncodedHoldsAll(Rows(schema, {"11", "22"}), sigma));
+  EXPECT_FALSE(EncodedHoldsAll(Rows(schema, {"_1"}), sigma));
+  EXPECT_FALSE(EncodedHoldsAll(Rows(schema, {"11", "12"}), sigma));
 }
 
 TEST(DdlTest, EmitCreateTable) {

@@ -23,6 +23,7 @@
 namespace sqlnf {
 namespace {
 
+using testing::EncodedHoldsAll;
 using testing::Rows;
 using testing::Schema;
 using testing::Sigma;
@@ -137,13 +138,13 @@ TEST(IntegrationTest, GenerateMineValidate) {
   ConstraintSet sigma;
   for (const auto& fd : mined.c_fds) sigma.AddUniqueFd(fd);
   for (const auto& key : mined.c_keys) sigma.AddUniqueKey(key);
-  EXPECT_TRUE(ValidateAll(t, sigma));
+  EXPECT_TRUE(EncodedHoldsAll(t, sigma));
 
   TableSchema schema = t.schema();
   ASSERT_OK(schema.SetNfs(mined.null_free_columns));
   ConstraintSet reduced = ReducedCover(schema, sigma);
   EXPECT_TRUE(EquivalentSigmas(schema, sigma, reduced));
-  EXPECT_TRUE(ValidateAll(t, reduced));
+  EXPECT_TRUE(EncodedHoldsAll(t, reduced));
 }
 
 // Generated DDL executes on the bundled SQL engine: normalize, emit
@@ -189,7 +190,7 @@ TEST(IntegrationTest, ContractorValidatesAndDecomposes) {
   ASSERT_OK_AND_ASSIGN(Table contractor, Contractor());
   ASSERT_OK_AND_ASSIGN(ConstraintSet lambda,
                        ContractorLambdaFds(contractor.schema()));
-  EXPECT_TRUE(ValidateAll(contractor, lambda));
+  EXPECT_TRUE(EncodedHoldsAll(contractor, lambda));
 
   SchemaDesign design{contractor.schema(), lambda};
   ASSERT_OK_AND_ASSIGN(VrnfResult result, VrnfDecompose(design));

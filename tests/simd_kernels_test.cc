@@ -23,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sqlnf/core/code_hash_index.h"
 #include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/simd_kernels.h"
 #include "sqlnf/util/fnv.h"
@@ -317,23 +318,33 @@ TEST(SimdKernelTest, CompressStoreDenseAndEmpty) {
 // Hash kernels
 // ---------------------------------------------------------------------------
 
+// FnvMixCodes has a single scalar body (no level sweep): it must
+// reproduce the per-element FNV mix, and chaining it per key column
+// (CodeHashIndex::HashRows) must reproduce HashKey row for row.
 TEST(SimdKernelTest, FnvMixCodesMatchesFnvMix) {
   Rng rng(20260808);
-  for (Level level : AvailableLevels()) {
-    for (int n : kLengths) {
-      std::vector<uint32_t> codes = RandomCodes(&rng, n, 1000);
-      std::vector<uint64_t> h(static_cast<size_t>(n));
-      std::vector<uint64_t> ref(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        h[static_cast<size_t>(i)] = ref[static_cast<size_t>(i)] =
-            kFnv64OffsetBasis + static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull;
-      }
-      FnvMixCodes(level, codes.data(), n, h.data());
-      for (int i = 0; i < n; ++i) {
-        ref[static_cast<size_t>(i)] =
-            FnvMix(ref[static_cast<size_t>(i)], codes[static_cast<size_t>(i)]);
-      }
-      ASSERT_EQ(h, ref) << "level=" << LevelName(level) << " n=" << n;
+  for (int n : kLengths) {
+    std::vector<uint32_t> codes = RandomCodes(&rng, n, 1000);
+    std::vector<uint64_t> h(static_cast<size_t>(n));
+    std::vector<uint64_t> ref(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      h[static_cast<size_t>(i)] = ref[static_cast<size_t>(i)] =
+          kFnv64OffsetBasis + static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ull;
+    }
+    FnvMixCodes(codes.data(), n, h.data());
+    for (int i = 0; i < n; ++i) {
+      ref[static_cast<size_t>(i)] =
+          FnvMix(ref[static_cast<size_t>(i)], codes[static_cast<size_t>(i)]);
+    }
+    ASSERT_EQ(h, ref) << "n=" << n;
+
+    const std::vector<uint32_t> second = RandomCodes(&rng, n, 7);
+    const std::vector<const std::vector<uint32_t>*> keys = {&codes, &second};
+    std::vector<uint64_t> rows(static_cast<size_t>(n));
+    CodeHashIndex::HashRows(keys, 0, n, rows.data());
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(rows[static_cast<size_t>(i)], CodeHashIndex::HashKey(keys, i))
+          << "n=" << n << " row=" << i;
     }
   }
 }

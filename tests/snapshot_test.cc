@@ -36,6 +36,11 @@ Tuple Row(std::initializer_list<const char*> cells) {
   return Tuple(std::move(values));
 }
 
+/// WHERE column = 'value'.
+Predicate Eq(AttributeId column, const char* value) {
+  return Predicate::And({Cmp(column, CompareOp::kEq, Value::Str(value))});
+}
+
 // The core copy-on-write contract: a copied EncodedTable stays
 // bit-identical across every mutating entry point of the original.
 TEST(SnapshotTest, CopyOnWriteKeepsCopiesBitStable) {
@@ -115,22 +120,20 @@ TEST(SnapshotTest, SelectFromSnapshotMatchesMaterialized) {
       Rows(schema, {"1xp", "2yp", "3x_", "4xq"}), ConstraintSet()));
   ASSERT_OK_AND_ASSIGN(TableSnapshot snap, db.GetSnapshot("T"));
 
-  ASSERT_OK_AND_ASSIGN(
-      Table hits,
-      SelectFromSnapshot(snap, {{1, Value::Str("x")}}));
+  ASSERT_OK_AND_ASSIGN(Table hits, SelectFromSnapshot(snap, Eq(1, "x")));
   EXPECT_EQ(hits.num_rows(), 3);
   ASSERT_OK_AND_ASSIGN(
-      Table nulls, SelectFromSnapshot(snap, {{2, Value::Null()}}));
+      Table nulls,
+      SelectFromSnapshot(
+          snap, Predicate::And({Cmp(2, CompareOp::kEq, Value::Null())})));
   EXPECT_EQ(nulls.num_rows(), 1);  // marker equality: ⊥ matches ⊥
-  EXPECT_FALSE(
-      SelectFromSnapshot(snap, {{7, Value::Str("x")}}).ok());
+  EXPECT_FALSE(SelectFromSnapshot(snap, Eq(7, "x")).ok());
 
   // The snapshot keeps serving after the table is dropped — columns
   // are refcounted, not epoch-swept.
   ASSERT_OK(db.DropTable("T"));
-  ASSERT_OK_AND_ASSIGN(
-      Table after_drop,
-      SelectFromSnapshot(snap, {{1, Value::Str("x")}}));
+  ASSERT_OK_AND_ASSIGN(Table after_drop,
+                       SelectFromSnapshot(snap, Eq(1, "x")));
   EXPECT_EQ(after_drop.num_rows(), 3);
 }
 
@@ -195,7 +198,7 @@ TEST(SnapshotTest, ConcurrentReadersSeeCommittedPrefixesOnly) {
         // Exercise the read path end to end as well.
         if (s.num_rows() > 0) {
           const auto [a, b] = cell(s.num_rows() - 1);
-          auto hit = SelectFromSnapshot(s, {{0, Value::Str(a)}});
+          auto hit = SelectFromSnapshot(s, Eq(0, a.c_str()));
           if (!hit.ok() || hit->num_rows() != 1) {
             ++failures;
             return;
@@ -226,10 +229,8 @@ TEST(SnapshotTest, ConcurrentReadersSeeCommittedPrefixesOnly) {
       TransactionGuard txn(&db);
       ASSERT_OK(txn.begin_status());
       ASSERT_OK(db.Insert("T", Row({"uncommitted", "never"})));
-      ASSERT_OK(
-          db.Update("T", std::vector<ColumnCondition>{{0, Value::Str("0")}},
-                    1, Value::Str("scribble"))
-              .status());
+      ASSERT_OK(db.Update("T", Eq(0, "0"), 1, Value::Str("scribble"))
+                    .status());
     }  // guard rolls back
   }
   done.store(true, std::memory_order_release);
@@ -277,9 +278,9 @@ TEST(SnapshotTest, StrongConstraintIndexFansOutOnNullableKey) {
       enforcer.Check(Tuple({Value::Int(3), Value::Int(3)})).has_value());
 }
 
-// Satellite: Database::Select gathers the selection vector columnar
-// (GatherRows) and decodes once at the boundary; result must be the
-// same multiset of rows the per-row decode reference produces.
+// SelectFromSnapshot decodes the selection vector straight from the
+// snapshot's codes (no intermediate gather); the result must be the
+// rows the per-row decode reference produces, in the same order.
 TEST(SnapshotTest, SelectMatchesPerRowDecodeReference) {
   WriterScope writer;
   Rng rng(77);
@@ -291,16 +292,19 @@ TEST(SnapshotTest, SelectMatchesPerRowDecodeReference) {
     ASSERT_OK(db.IngestTable(data, ConstraintSet()));
     ASSERT_OK_AND_ASSIGN(const StoredTable* stored, db.Find("T"));
 
-    std::vector<ColumnCondition> where{
-        {static_cast<AttributeId>(rng.Index(n)),
-         rng.Chance(0.3) ? Value::Null() : Value::Int(rng.Uniform(0, 2))}};
-    ASSERT_OK_AND_ASSIGN(Table got, db.Select("T", where));
+    const Predicate where = Predicate::And({Cmp(
+        static_cast<AttributeId>(rng.Index(n)), CompareOp::kEq,
+        rng.Chance(0.3) ? Value::Null() : Value::Int(rng.Uniform(0, 2)))});
+    ASSERT_OK_AND_ASSIGN(TableSnapshot snap, db.GetSnapshot("T"));
+    ASSERT_OK_AND_ASSIGN(Table got, SelectFromSnapshot(snap, where));
 
-    // Reference: per-row decode + row-major condition check, in order.
+    // Reference: per-row decode + row-major predicate check, in order.
     Table want(schema);
     for (int i = 0; i < stored->num_rows(); ++i) {
       const Tuple t = stored->DecodeRow(i);
-      if (MatchesConditions(t, where)) ASSERT_OK(want.AddRow(t));
+      if (MatchesPredicate(t, where)) {
+        ASSERT_OK(want.AddRow(t));
+      }
     }
     ASSERT_EQ(got.num_rows(), want.num_rows()) << "trial=" << trial;
     const AttributeSet all = AttributeSet::FullSet(n);
@@ -403,14 +407,10 @@ TEST(SnapshotTest, RangeScanReadersRaceCommittingWriterAndVacuum) {
     if (k % 7 == 3) {
       // Strand a dictionary entry, then reclaim it: the next VACUUM
       // races the readers' in-flight snapshots.
-      ASSERT_OK(db.Update("T",
-                          std::vector<ColumnCondition>{{0, Value::Str(id(k))}},
-                          1, Value::Str("rewritten"))
-                    .status());
-      ASSERT_OK(db.Update("T",
-                          std::vector<ColumnCondition>{{0, Value::Str(id(k))}},
-                          1, Value::Str(b))
-                    .status());
+      const Predicate row_k =
+          Predicate::And({Cmp(0, CompareOp::kEq, Value::Str(id(k)))});
+      ASSERT_OK(db.Update("T", row_k, 1, Value::Str("rewritten")).status());
+      ASSERT_OK(db.Update("T", row_k, 1, Value::Str(b)).status());
     }
     if (k % 10 == 9) {
       ASSERT_OK_AND_ASSIGN(const int retired, db.CompactTable("T"));

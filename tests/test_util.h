@@ -13,7 +13,9 @@
 
 #include "sqlnf/constraints/constraint.h"
 #include "sqlnf/constraints/parser.h"
+#include "sqlnf/core/encoded_table.h"
 #include "sqlnf/core/table.h"
+#include "sqlnf/engine/validate.h"
 #include "sqlnf/util/rng.h"
 
 #define ASSERT_OK(expr) ASSERT_TRUE((expr).ok()) << (expr).ToString()
@@ -78,6 +80,23 @@ inline Table Rows(const TableSchema& schema,
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
   return table;
+}
+
+/// The production validator's verdict on a row-major table: encode
+/// it, then run the engine/validate.h kernel.
+inline bool EncodedHolds(const Table& table, const FunctionalDependency& fd,
+                         const ParallelOptions& par = {}) {
+  return !FindFdViolationEncoded(EncodedTable(table), fd, par).has_value();
+}
+
+inline bool EncodedHolds(const Table& table, const KeyConstraint& key,
+                         const ParallelOptions& par = {}) {
+  return !FindKeyViolationEncoded(EncodedTable(table), key, par).has_value();
+}
+
+/// Whole-Σ verdict, the schema's NFS included.
+inline bool EncodedHoldsAll(const Table& table, const ConstraintSet& sigma) {
+  return ValidateAllEncoded(EncodedTable(table), table.schema().nfs(), sigma);
 }
 
 /// Random schema (n attributes, random NFS).

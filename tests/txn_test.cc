@@ -16,7 +16,7 @@
 
 #include "reference_oracle.h"
 #include "sqlnf/engine/catalog.h"
-#include "sqlnf/engine/relops.h"
+#include "sqlnf/engine/predicate.h"
 #include "sqlnf/engine/sql.h"
 #include "test_util.h"
 
@@ -37,6 +37,11 @@ Tuple Row(std::initializer_list<const char*> cells) {
     values.push_back(c == nullptr ? Value::Null() : Value::Str(c));
   }
   return Tuple(std::move(values));
+}
+
+/// WHERE column = 'value'.
+Predicate Eq(AttributeId column, const char* value) {
+  return Predicate::And({Cmp(column, CompareOp::kEq, Value::Str(value))});
 }
 
 bool SameRows(const Table& a, const Table& b) {
@@ -117,17 +122,16 @@ TEST(TxnTest, RollbackRestoresEveryTableBitIdentical) {
   ASSERT_OK(db.Insert("t1", Row({"4", "s", "new-value"})));
   ASSERT_OK_AND_ASSIGN(
       int changed,
-      db.Update("t1", std::vector<ColumnCondition>{{0, Value::Str("1")}},
-                2, Value::Str("fresh")));
+      db.Update("t1", Eq(0, "1"), 2, Value::Str("fresh")));
   EXPECT_EQ(changed, 1);
   ASSERT_OK_AND_ASSIGN(
       int removed,
-      db.Delete("t1", std::vector<ColumnCondition>{{0, Value::Str("2")}}));
+      db.Delete("t1", Eq(0, "2")));
   EXPECT_EQ(removed, 1);
   ASSERT_OK(db.Insert("t2", Row({"k3", "v3"})));
   ASSERT_OK_AND_ASSIGN(
       removed,
-      db.Delete("t2", std::vector<ColumnCondition>{{0, Value::Str("k1")}}));
+      db.Delete("t2", Eq(0, "k1")));
   EXPECT_EQ(removed, 1);
   ASSERT_OK(db.Rollback());
 
@@ -154,9 +158,7 @@ TEST(TxnTest, RejectedUpdateRetiresMintedDictionaryCodes) {
 
   // Updating b on only one of the two a=1 rows breaks a ->w b. The new
   // value "never-seen" is minted during the write, then must be retired.
-  auto rejected = db.Update(
-      "T", std::vector<ColumnCondition>{{2, Value::Str("p")}}, 1,
-      Value::Str("never-seen"));
+  auto rejected = db.Update("T", Eq(2, "p"), 1, Value::Str("never-seen"));
   ASSERT_FALSE(rejected.ok());
 
   EXPECT_EQ(stored->columns().dictionary_size(1), dict_before);
@@ -178,9 +180,7 @@ TEST(TxnTest, RejectedStatementInsideTransactionRollsBackOnlyItself) {
   // transaction stays open with the prior insert intact.
   EXPECT_FALSE(db.Insert("T", Row({"1", "z"})).ok());
   EXPECT_TRUE(db.InTransaction());
-  auto bad_update = db.Update(
-      "T", std::vector<ColumnCondition>{{0, Value::Str("2")}}, 0,
-      Value::Str("1"));
+  auto bad_update = db.Update("T", Eq(0, "2"), 0, Value::Str("1"));
   EXPECT_FALSE(bad_update.ok());
   ASSERT_OK(db.Commit());
 
@@ -304,14 +304,16 @@ struct Reference {
     return true;
   }
 
-  // Mirrors Database::Update semantics: matched on marker equality,
-  // changed where the cell differs, NFS check, whole-statement
-  // post-image validation.
-  bool ApplyUpdate(const std::vector<ColumnCondition>& conds,
-                   AttributeId col, const Value& value) {
+  // Database::Update's semantics, decided the whole-statement way:
+  // matched by the row-major predicate oracle, changed where the cell
+  // differs, NFS check, then the literal oracle over the ENTIRE
+  // post-image. The engine instead checks each changed row through the
+  // enforcer; the two verdicts must agree on every statement.
+  bool ApplyUpdate(const Predicate& where, AttributeId col,
+                   const Value& value) {
     std::vector<int> changed;
     for (int i = 0; i < table.num_rows(); ++i) {
-      if (MatchesConditions(table.row(i), conds) &&
+      if (MatchesPredicate(table.row(i), where) &&
           !(table.row(i)[col] == value)) {
         changed.push_back(i);
       }
@@ -333,10 +335,10 @@ struct Reference {
     return true;
   }
 
-  void ApplyDelete(const std::vector<ColumnCondition>& conds) {
+  void ApplyDelete(const Predicate& where) {
     Table survivors(schema);
     for (int i = 0; i < table.num_rows(); ++i) {
-      if (!MatchesConditions(table.row(i), conds)) {
+      if (!MatchesPredicate(table.row(i), where)) {
         EXPECT_OK(survivors.AddRow(table.row(i)));
       }
     }
@@ -347,7 +349,9 @@ struct Reference {
 TEST(TxnTest, DifferentialMutationSequences) {
   WriterScope writer;
   Rng rng(20260808);
-  for (int trial = 0; trial < 8; ++trial) {
+  int updates_accepted = 0;
+  int updates_rejected = 0;
+  for (int trial = 0; trial < 32; ++trial) {
     const int n = 2 + static_cast<int>(rng.Uniform(0, 2));
     const TableSchema schema = RandomSchema(&rng, n);
     const ConstraintSet sigma = RandomSigma(&rng, n, 1, 1);
@@ -360,14 +364,14 @@ TEST(TxnTest, DifferentialMutationSequences) {
       return rng.Chance(0.2) ? Value::Null()
                              : Value::Int(rng.Uniform(0, 2));
     };
-    auto random_conditions = [&]() {
-      std::vector<ColumnCondition> conds;
+    auto random_where = [&]() {
+      Conjunction conj;
       const int k = static_cast<int>(rng.Uniform(0, 1));
       for (int j = 0; j <= k; ++j) {
-        conds.push_back({static_cast<AttributeId>(rng.Index(n)),
-                         random_value()});
+        conj.push_back(Cmp(static_cast<AttributeId>(rng.Index(n)),
+                           CompareOp::kEq, random_value()));
       }
-      return conds;
+      return Predicate::And(std::move(conj));
     };
 
     bool in_txn = false;
@@ -401,17 +405,22 @@ TEST(TxnTest, DifferentialMutationSequences) {
         ASSERT_EQ(engine_ok, oracle_ok)
             << "trial=" << trial << " step=" << step << " INSERT";
       } else if (roll < 0.82) {
-        const auto conds = random_conditions();
+        const Predicate where = random_where();
         const AttributeId col = static_cast<AttributeId>(rng.Index(n));
         const Value value = random_value();
-        const bool engine_ok = db.Update("T", conds, col, value).ok();
-        const bool oracle_ok = ref.ApplyUpdate(conds, col, value);
+        const TableState pre(*stored);
+        const bool engine_ok = db.Update("T", where, col, value).ok();
+        const bool oracle_ok = ref.ApplyUpdate(where, col, value);
         ASSERT_EQ(engine_ok, oracle_ok)
             << "trial=" << trial << " step=" << step << " UPDATE";
+        ++(engine_ok ? updates_accepted : updates_rejected);
+        // A rejected statement leaves no trace: codes, dictionaries
+        // and constraint indexes are bit-identical to before it.
+        if (!engine_ok) pre.ExpectRestored(*stored);
       } else {
-        const auto conds = random_conditions();
-        ASSERT_OK(db.Delete("T", conds).status());
-        ref.ApplyDelete(conds);
+        const Predicate where = random_where();
+        ASSERT_OK(db.Delete("T", where).status());
+        ref.ApplyDelete(where);
       }
       ASSERT_OK(stored->enforcer().CheckInvariants())
           << "trial=" << trial << " step=" << step;
@@ -427,6 +436,9 @@ TEST(TxnTest, DifferentialMutationSequences) {
       ASSERT_TRUE(SameRows(stored->Materialize(), ref.table));
     }
   }
+  // Both verdicts must actually occur, or the agreement proves little.
+  EXPECT_GT(updates_accepted, 0);
+  EXPECT_GT(updates_rejected, 0);
 }
 
 TEST(TxnTest, VacuumBarredMidTransaction) {
@@ -438,7 +450,7 @@ TEST(TxnTest, VacuumBarredMidTransaction) {
   const TableSchema schema = Schema("ab");
   Database db;
   ASSERT_OK(db.IngestTable(Rows(schema, {"1x", "2y"}), ConstraintSet()));
-  ASSERT_OK(db.Update("T", {{0, Value::Str("1")}}, 0, Value::Str("3")).status());
+  ASSERT_OK(db.Update("T", Eq(0, "1"), 0, Value::Str("3")).status());
 
   ASSERT_OK(db.Begin());
   const Result<int> barred = db.CompactTable("T");
@@ -488,10 +500,10 @@ TEST(TxnTest, CompactionCanonicalizesFingerprintsAcrossHistories) {
   Database detour;
   ASSERT_OK(detour.IngestTable(
       Rows(schema, {"7mp", "2yq", "8nn", "3zs"}), sigma));
-  ASSERT_OK(detour.Update("T", {{0, Value::Str("7")}}, 0, Value::Str("1")).status());
-  ASSERT_OK(detour.Update("T", {{0, Value::Str("1")}}, 1, Value::Str("x")).status());
-  ASSERT_OK(detour.Delete("T", {{0, Value::Str("8")}}).status());
-  ASSERT_OK(detour.Update("T", {{0, Value::Str("3")}}, 2, Value::Str("r")).status());
+  ASSERT_OK(detour.Update("T", Eq(0, "7"), 0, Value::Str("1")).status());
+  ASSERT_OK(detour.Update("T", Eq(0, "1"), 1, Value::Str("x")).status());
+  ASSERT_OK(detour.Delete("T", Eq(0, "8")).status());
+  ASSERT_OK(detour.Update("T", Eq(0, "3"), 2, Value::Str("r")).status());
 
   ASSERT_OK_AND_ASSIGN(const StoredTable* a, straight.Find("T"));
   ASSERT_OK_AND_ASSIGN(const StoredTable* b, detour.Find("T"));
